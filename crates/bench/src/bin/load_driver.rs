@@ -9,11 +9,11 @@
 //! the data directory's `sample-query.json`; when the dir also carries
 //! the retrieval/augmentation bodies — `sample-tables-query.json`,
 //! `sample-populate-query.json` — those join the mix) and prints a
-//! one-line JSON report — throughput, p50/p99, and status-class
-//! counts. The CI
-//! scale-smoke job runs it against the 100k-table corpus and gates on
-//! `status_5xx == 0`; exit code 1 mirrors that gate so local runs fail
-//! the same way.
+//! one-line JSON report — throughput, p50/p99, p50 per request path,
+//! and status-class counts. The CI scale-smoke job runs it against the
+//! 100k-table corpus and gates on `status_5xx == 0`; exit code 1
+//! mirrors that gate so local runs fail the same way. CI server-smoke
+//! compares its `/v1/search` p50 with the server's own mean.
 
 use std::process::ExitCode;
 use std::time::Duration;

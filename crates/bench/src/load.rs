@@ -6,9 +6,11 @@
 //! and the percentiles are honest request latencies.
 //!
 //! Shared by the `load_driver` binary (CI scale-smoke drives a running
-//! server and gates on `status_5xx == 0`) and `perf_report` (serving
-//! rows in `BENCH_candidates.json`).
+//! server and gates on `status_5xx == 0`; CI server-smoke gates the
+//! per-path search p50 against the server's own timing) and
+//! `perf_report` (serving rows in `BENCH_candidates.json`).
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,6 +63,9 @@ pub struct LoadReport {
     pub p50_us: f64,
     /// 99th-percentile response latency in µs.
     pub p99_us: f64,
+    /// Median response latency in µs per request path, sorted by path
+    /// (shapes that share a path, like several search bodies, pool).
+    pub path_p50_us: Vec<(String, f64)>,
 }
 
 /// A small annotate body shared by the load driver and `perf_report`:
@@ -112,15 +117,17 @@ pub fn run_closed_loop(
         let counters = Arc::clone(&counters);
         let addr = addr.clone();
         handles.push(std::thread::spawn(move || {
-            let mut latencies_us: Vec<u64> = Vec::new();
+            // (request shape index, latency in µs) per completed request.
+            let mut latencies_us: Vec<(usize, u64)> = Vec::new();
             let mut i = w;
             while Instant::now() < deadline {
-                let r = &requests[i % requests.len()];
+                let shape = i % requests.len();
+                let r = &requests[shape];
                 i += 1;
                 let t = Instant::now();
                 match client::request(&addr, &r.method, &r.path, &r.body) {
                     Ok((status, _body)) => {
-                        latencies_us.push(t.elapsed().as_micros() as u64);
+                        latencies_us.push((shape, t.elapsed().as_micros() as u64));
                         let slot = match status {
                             200..=299 => c2xx,
                             400..=499 => c4xx,
@@ -138,11 +145,22 @@ pub fn run_closed_loop(
         }));
     }
     let mut all_us: Vec<u64> = Vec::new();
+    let mut by_path: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
     for h in handles {
-        all_us.extend(h.join().expect("load worker panicked"));
+        for (shape, us) in h.join().expect("load worker panicked") {
+            all_us.push(us);
+            by_path.entry(requests[shape].path.as_str()).or_default().push(us);
+        }
     }
     let elapsed = started.elapsed();
     all_us.sort_unstable();
+    let path_p50_us = by_path
+        .into_iter()
+        .map(|(path, mut us)| {
+            us.sort_unstable();
+            (path.to_string(), percentile(&us, 50.0))
+        })
+        .collect();
     let requests_done = all_us.len();
     let mean_us = if requests_done == 0 {
         0.0
@@ -160,22 +178,26 @@ pub fn run_closed_loop(
         mean_us,
         p50_us: percentile(&all_us, 50.0),
         p99_us: percentile(&all_us, 99.0),
+        path_p50_us,
     }
 }
 
 impl LoadReport {
-    /// Renders the report as the stable JSON shape the CI scale-smoke
-    /// job parses (sorted keys).
+    /// Renders the report as the stable JSON shape the CI smoke jobs
+    /// parse (sorted keys).
     pub fn to_json(&self) -> String {
+        let path_p50_us: Vec<String> =
+            self.path_p50_us.iter().map(|(path, us)| format!("\"{path}\": {us:.1}")).collect();
         format!(
             "{{\"elapsed_ms\": {}, \"io_errors\": {}, \"mean_us\": {:.1}, \"p50_us\": {:.1}, \
-             \"p99_us\": {:.1}, \"requests\": {}, \"status_2xx\": {}, \"status_4xx\": {}, \
-             \"status_5xx\": {}, \"throughput_rps\": {:.1}}}",
+             \"p99_us\": {:.1}, \"path_p50_us\": {{{}}}, \"requests\": {}, \"status_2xx\": {}, \
+             \"status_4xx\": {}, \"status_5xx\": {}, \"throughput_rps\": {:.1}}}",
             self.elapsed.as_millis(),
             self.io_errors,
             self.mean_us,
             self.p50_us,
             self.p99_us,
+            path_p50_us.join(", "),
             self.requests,
             self.status_2xx,
             self.status_4xx,
@@ -212,6 +234,7 @@ mod tests {
             mean_us: 100.0,
             p50_us: 90.0,
             p99_us: 400.0,
+            path_p50_us: vec![("/health".into(), 20.0), ("/v1/search".into(), 95.0)],
         };
         let json = r.to_json();
         for key in ["status_5xx", "throughput_rps", "p50_us", "p99_us", "requests"] {
@@ -220,6 +243,8 @@ mod tests {
         // The JSON is parseable by the workspace's own parser.
         let doc = webtable_core::wire::Json::parse(&json).unwrap();
         assert_eq!(doc.get("status_5xx").and_then(|v| v.as_u64()), Some(0));
+        let search_p50 = doc.get("path_p50_us").and_then(|p| p.get("/v1/search"));
+        assert_eq!(search_p50.and_then(|v| v.as_f64()), Some(95.0));
     }
 
     #[test]
@@ -252,5 +277,7 @@ mod tests {
         assert_eq!(report.status_2xx, report.requests);
         assert!(report.p50_us > 0.0 && report.p99_us >= report.p50_us);
         assert!(report.throughput_rps > 0.0);
+        assert_eq!(report.path_p50_us.len(), 1);
+        assert_eq!(report.path_p50_us[0].0, "/health");
     }
 }

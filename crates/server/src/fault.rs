@@ -73,14 +73,7 @@ impl FaultPoint {
     }
 
     fn idx(self) -> usize {
-        match self {
-            FaultPoint::SnapshotRead => 0,
-            FaultPoint::ManifestRead => 1,
-            FaultPoint::ManifestRename => 2,
-            FaultPoint::CorpusRead => 3,
-            FaultPoint::GenerationBuild => 4,
-            FaultPoint::Handler => 5,
-        }
+        self as usize
     }
 }
 

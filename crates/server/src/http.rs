@@ -38,8 +38,12 @@ pub struct HttpError {
 }
 
 impl HttpError {
+    fn new(status: u16, code: &'static str, message: impl Into<String>) -> HttpError {
+        HttpError { status, code, message: message.into() }
+    }
+
     fn bad(message: impl Into<String>) -> HttpError {
-        HttpError { status: 400, code: "bad_request", message: message.into() }
+        HttpError::new(400, "bad_request", message)
     }
 }
 
@@ -55,11 +59,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
         return Ok(None);
     }
     if n > MAX_HEADER_BYTES {
-        return Err(HttpError {
-            status: 431,
-            code: "headers_too_large",
-            message: "request line too long".into(),
-        });
+        return Err(HttpError::new(431, "headers_too_large", "request line too long"));
     }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
@@ -83,11 +83,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
             .map_err(|e| HttpError::bad(format!("header read: {e}")))?;
         header_bytes += n;
         if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError {
-                status: 431,
-                code: "headers_too_large",
-                message: "header section too large".into(),
-            });
+            return Err(HttpError::new(431, "headers_too_large", "header section too large"));
         }
         let header = header.trim_end();
         if n == 0 || header.is_empty() {
@@ -95,11 +91,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
         }
         headers_seen += 1;
         if headers_seen > MAX_HEADERS {
-            return Err(HttpError {
-                status: 431,
-                code: "headers_too_large",
-                message: format!("more than {MAX_HEADERS} headers"),
-            });
+            return Err(HttpError::new(
+                431,
+                "headers_too_large",
+                format!("more than {MAX_HEADERS} headers"),
+            ));
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -118,11 +114,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, HttpError
     }
     let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
-        return Err(HttpError {
-            status: 413,
-            code: "body_too_large",
-            message: format!("body of {content_length} bytes exceeds {MAX_BODY_BYTES}"),
-        });
+        return Err(HttpError::new(
+            413,
+            "body_too_large",
+            format!("body of {content_length} bytes exceeds {MAX_BODY_BYTES}"),
+        ));
     }
 
     let mut body = vec![0u8; content_length];

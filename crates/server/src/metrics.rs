@@ -51,14 +51,7 @@ impl Endpoint {
     }
 
     fn idx(self) -> usize {
-        match self {
-            Endpoint::Annotate => 0,
-            Endpoint::Search => 1,
-            Endpoint::Swap => 2,
-            Endpoint::Stats => 3,
-            Endpoint::Health => 4,
-            Endpoint::Other => 5,
-        }
+        self as usize
     }
 }
 

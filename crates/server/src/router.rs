@@ -46,7 +46,7 @@ pub fn endpoint_of(path: &str) -> Endpoint {
     }
 }
 
-fn err_response(status: u16, code: &str, message: &str) -> Response {
+pub(crate) fn err_response(status: u16, code: &str, message: &str) -> Response {
     Response { status, body: error_body(code, message) }
 }
 
@@ -71,9 +71,9 @@ impl From<Response> for Routed {
     }
 }
 
-/// Routes one request. `ingress` is the instant the request was read
-/// off the socket — annotate deadlines are anchored there, so queueing
-/// and parse time count against the budget.
+/// Routes one request. `ingress` is the instant the connection was
+/// accepted — annotate deadlines are anchored there, so queueing and
+/// parse time count against the budget.
 pub fn handle(state: &AppState, req: &Request, ingress: Instant) -> Routed {
     // The `handler` fault point: injected latency passes through,
     // injected errors answer 500 `internal`, injected panics unwind to

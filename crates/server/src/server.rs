@@ -1,17 +1,17 @@
 //! The serving loop: bounded accept queue, fixed worker pool,
 //! structured request logs, clean shutdown.
 //!
-//! One acceptor thread polls the listener and pushes connections onto a
-//! bounded queue; `workers` threads pop, parse, route, respond. When
-//! the queue is full the acceptor answers 503 `queue_full` inline and
-//! drops the connection — load sheds at the front door instead of
-//! queueing unboundedly. Shutdown (via `POST /admin/shutdown` or
-//! [`ServerHandle::stop`]) stops accepting, drains the queue, and joins
-//! every thread — the same stop-feeding-then-join discipline the
-//! annotator's deadline cancellation uses.
+//! One acceptor thread blocks in `accept` and queues each connection
+//! with its accept instant, from which latency and deadlines run; up to
+//! `queue_depth` wait, and beyond that the acceptor answers 503
+//! `queue_full` inline — load sheds at the front door instead of
+//! queueing unboundedly. `workers` threads block on the queue, then
+//! parse, route, respond. Shutdown (`POST /admin/shutdown` or
+//! [`ServerHandle::stop`]) sets a flag and self-connects to wake the
+//! acceptor; workers drain the queue and every thread is joined.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -19,10 +19,9 @@ use std::time::{Duration, Instant};
 
 use webtable_core::wire::Json;
 
-use crate::error::error_body;
-use crate::http::{read_request, write_response, Response};
+use crate::http::{read_request, write_response};
 use crate::metrics::Endpoint;
-use crate::router::{endpoint_of, handle, Routed};
+use crate::router::{endpoint_of, err_response, handle, Routed};
 use crate::state::AppState;
 
 /// Serving knobs.
@@ -45,7 +44,7 @@ impl Default for ServerConfig {
 
 #[derive(Debug, Default)]
 struct Queue {
-    conns: Mutex<VecDeque<TcpStream>>,
+    conns: Mutex<VecDeque<(TcpStream, Instant)>>,
     ready: Condvar,
 }
 
@@ -71,25 +70,29 @@ impl ServerHandle {
 
     /// Requests shutdown and joins every thread. Idempotent with an
     /// `/admin/shutdown` that already set the flag.
-    pub fn stop(mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        for t in self.threads.drain(..) {
+    pub fn stop(self) {
+        request_shutdown(&self.state, self.addr);
+        self.wait();
+    }
+
+    /// Blocks until shutdown has been requested, joining every thread.
+    pub fn wait(self) {
+        for t in self.threads {
             let _ = t.join();
         }
     }
+}
 
-    /// True once the shutdown flag is set (by stop or the admin route).
-    pub fn is_shutting_down(&self) -> bool {
-        self.state.shutdown.load(Ordering::Acquire)
+/// Sets the shutdown flag and wakes the acceptor out of `accept` by
+/// connecting to `addr` (loopback when it is unspecified).
+fn request_shutdown(state: &AppState, mut addr: SocketAddr) {
+    state.shutdown.store(true, Ordering::Release);
+    match &mut addr {
+        SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+        SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+        _ => {}
     }
-
-    /// Blocks until shutdown has been requested, then joins threads.
-    pub fn wait(self) {
-        while !self.is_shutting_down() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.stop();
-    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// Binds `addr` and starts the accept + worker threads.
@@ -100,76 +103,58 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
     let queue = Arc::new(Queue::default());
     let mut threads = Vec::with_capacity(config.workers + 1);
-
-    {
-        let state = Arc::clone(&state);
-        let queue = Arc::clone(&queue);
-        let depth = config.queue_depth.max(1);
-        threads.push(std::thread::spawn(move || accept_loop(listener, state, queue, depth)));
-    }
+    let (st, q, depth) = (Arc::clone(&state), Arc::clone(&queue), config.queue_depth.max(1));
+    threads.push(std::thread::spawn(move || accept_loop(listener, st, q, depth)));
     for _ in 0..config.workers.max(1) {
-        let state = Arc::clone(&state);
-        let queue = Arc::clone(&queue);
-        let log = config.log_requests;
-        threads.push(std::thread::spawn(move || worker_loop(state, queue, log)));
+        let (st, q, log) = (Arc::clone(&state), Arc::clone(&queue), config.log_requests);
+        threads.push(std::thread::spawn(move || worker_loop(st, q, log)));
     }
     Ok(ServerHandle { addr: local, state, threads })
 }
 
 fn accept_loop(listener: TcpListener, state: Arc<AppState>, queue: Arc<Queue>, depth: usize) {
-    while !state.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((mut conn, _)) => {
+    loop {
+        let accepted = listener.accept().map(|(conn, _)| (conn, Instant::now()));
+        if state.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
+            Ok((mut conn, ingress)) => {
                 let mut q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
                 if q.len() >= depth {
                     drop(q);
                     state.metrics.queue_rejections.fetch_add(1, Ordering::Relaxed);
-                    write_response(
-                        &mut conn,
-                        &Response {
-                            status: 503,
-                            body: error_body("queue_full", "accept queue is full; retry"),
-                        },
-                    );
+                    let full = err_response(503, "queue_full", "accept queue is full; retry");
+                    write_response(&mut conn, &full);
                 } else {
-                    q.push_back(conn);
+                    q.push_back((conn, ingress));
                     drop(q);
                     queue.ready.notify_one();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A real accept error (EMFILE, ...): back off, don't spin.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
-    // Wake every worker so they observe the flag and drain out.
+    // Wake every worker to drain out; under the lock, so none is caught
+    // between its flag check and its wait.
+    let _q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
     queue.ready.notify_all();
 }
 
 fn worker_loop(state: Arc<AppState>, queue: Arc<Queue>, log: bool) {
     loop {
-        let conn = {
-            let mut q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(conn) = q.pop_front() {
-                    break Some(conn);
-                }
-                if state.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                let (guard, _) = queue
-                    .ready
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        let Some(mut conn) = conn else { return };
-        serve_connection(&state, &mut conn, log);
+        let q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
+        let mut q = queue
+            .ready
+            .wait_while(q, |q| q.is_empty() && !state.shutdown.load(Ordering::Acquire))
+            .unwrap_or_else(|e| e.into_inner());
+        // Empty only once shutdown is requested and the queue is drained.
+        let Some((mut conn, ingress)) = q.pop_front() else { return };
+        drop(q);
+        serve_connection(&state, &mut conn, ingress, log);
     }
 }
 
@@ -181,19 +166,17 @@ fn route_isolated(state: &AppState, req: &crate::http::Request, ingress: Instant
         Ok(routed) => routed,
         Err(_) => {
             state.metrics.panics.fetch_add(1, Ordering::Relaxed);
-            Response { status: 500, body: error_body("internal", "request handler panicked") }
-                .into()
+            err_response(500, "internal", "request handler panicked").into()
         }
     }
 }
 
 /// Reads, routes, responds, records, logs — one connection, one
-/// request (`Connection: close`).
-fn serve_connection(state: &AppState, conn: &mut TcpStream, log: bool) {
+/// request (`Connection: close`). `ingress` is the accept instant.
+fn serve_connection(state: &AppState, conn: &mut TcpStream, ingress: Instant, log: bool) {
     // A stalled peer must not pin a worker: bound both directions.
     let _ = conn.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = conn.set_write_timeout(Some(Duration::from_secs(10)));
-    let ingress = Instant::now();
     let (endpoint, method, path, routed) = match read_request(conn) {
         Ok(Some(req)) => {
             let routed = route_isolated(state, &req, ingress);
@@ -204,7 +187,7 @@ fn serve_connection(state: &AppState, conn: &mut TcpStream, log: bool) {
             Endpoint::Other,
             String::from("-"),
             String::from("-"),
-            Response { status: e.status, body: error_body(e.code, &e.message) }.into(),
+            err_response(e.status, e.code, &e.message).into(),
         ),
     };
     let Routed { response, query_kind } = routed;
@@ -214,6 +197,12 @@ fn serve_connection(state: &AppState, conn: &mut TcpStream, log: bool) {
         state.metrics.record_query_kind(kind);
     }
     write_response(conn, &response);
+    // Reply sent: wake the acceptor so the shutdown proceeds.
+    if path == "/admin/shutdown" && state.shutdown.load(Ordering::Acquire) {
+        if let Ok(local) = conn.local_addr() {
+            request_shutdown(state, local);
+        }
+    }
     if log {
         eprintln!("{}", log_line(state, &method, &path, query_kind, response.status, duration_us));
     }
@@ -243,4 +232,33 @@ fn log_line(
         ("ts_ms".into(), Json::u64(ts_ms)),
     ])
     .encode()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+
+    #[test]
+    fn queued_connection_reports_its_queue_wait() {
+        let dir = std::env::temp_dir().join(format!("webtable-queue-wait-{}", std::process::id()));
+        crate::demo::prepare_data_dir(&dir, 11).unwrap();
+        let initial = crate::state::load_generation(&dir, 1).unwrap();
+        let state = Arc::new(AppState::new(dir.clone(), initial, Duration::from_secs(30)));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(b"BOGUS\r\n\r\n").unwrap(); // a parse error: no handler runs
+        let queue = Arc::new(Queue::default());
+        queue.conns.lock().unwrap().push_back((listener.accept().unwrap().0, Instant::now()));
+        let wait = Duration::from_millis(40);
+        std::thread::sleep(wait);
+        state.shutdown.store(true, Ordering::Release);
+        worker_loop(Arc::clone(&state), queue, false); // serves the queued request, then exits
+        let stats = state.metrics.to_json(0, 0, 0, Default::default());
+        let rows = stats.get("endpoints").and_then(Json::as_arr).unwrap();
+        let other = rows.iter().find(|r| r.get("name").and_then(Json::as_str) == Some("other"));
+        let duration_us = other.and_then(|r| r.get("duration_us")).and_then(Json::as_u64).unwrap();
+        assert!(u128::from(duration_us) >= wait.as_micros(), "{duration_us} µs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -31,15 +31,25 @@ impl TestServer {
     /// chaos tests use [`RetryPolicy::immediate`] so failing swaps
     /// never sleep.
     pub fn start_with_retry(name: &str, policy: RetryPolicy) -> TestServer {
+        let config = ServerConfig { workers: 4, queue_depth: 64, log_requests: false };
+        TestServer::start_with(name, policy, "127.0.0.1:0", config)
+    }
+
+    /// A server bound to `bind` (e.g. `0.0.0.0:0`) with a custom pool;
+    /// clients always reach it through loopback.
+    pub fn start_bound(name: &str, bind: &str, config: ServerConfig) -> TestServer {
+        TestServer::start_with(name, RetryPolicy::default(), bind, config)
+    }
+
+    fn start_with(name: &str, policy: RetryPolicy, bind: &str, config: ServerConfig) -> TestServer {
         let dir = std::env::temp_dir().join(format!("webtable-srv-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         demo::prepare_data_dir(&dir, SEED).expect("prepare demo data");
         let initial = load_generation(&dir, 2).expect("load generation 1");
         let mut state = AppState::new(dir.clone(), initial, Duration::from_secs(30));
         state.swap_retry = policy;
-        let config = ServerConfig { workers: 4, queue_depth: 64, log_requests: false };
-        let handle = serve("127.0.0.1:0", Arc::new(state), config).expect("bind");
-        let addr = handle.addr().to_string();
+        let handle = serve(bind, Arc::new(state), config).expect("bind");
+        let addr = format!("127.0.0.1:{}", handle.addr().port());
         TestServer { dir, handle: Some(handle), addr }
     }
 

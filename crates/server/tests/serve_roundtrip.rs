@@ -5,10 +5,18 @@
 
 mod common;
 
+use std::io::Read;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::Ordering;
+use std::sync::mpsc;
+use std::time::Duration;
+
 use webtable_catalog::{generate_world, WorldConfig};
 use webtable_core::wire::{annotation_to_json, decode_response, Json, WireAnnotateRequest};
 use webtable_search::wire::{encode_answers, encode_query};
 use webtable_search::Query;
+use webtable_server::client::parse_response;
+use webtable_server::server::{ServerConfig, ServerHandle};
 use webtable_server::state::{load_generation, tables_from_wire};
 
 use common::{TestServer, SEED};
@@ -189,4 +197,67 @@ fn shutdown_route_stops_the_server_cleanly() {
     assert!(body.contains("shutting down"));
     // stop() joins every thread; a hang here is a failed drain.
     srv.handle.take().unwrap().stop();
+}
+
+/// Runs `finish` (a `stop` or `wait`) off-thread and fails, rather than
+/// hangs, if it has not returned within one second.
+fn returns_within_a_second(handle: ServerHandle, finish: fn(ServerHandle)) {
+    let (tx, rx) = mpsc::channel();
+    let finisher = std::thread::spawn(move || {
+        finish(handle);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(1)).expect("server threads still running after 1 s");
+    finisher.join().unwrap();
+}
+
+#[test]
+fn stop_on_an_idle_server_returns_promptly() {
+    // Bound to the unspecified address: stop's wake-up connect must
+    // reach the blocked acceptor through loopback.
+    let config = ServerConfig { workers: 4, queue_depth: 64, log_requests: false };
+    let mut srv = TestServer::start_bound("roundtrip-idle-stop", "0.0.0.0:0", config);
+    returns_within_a_second(srv.handle.take().unwrap(), ServerHandle::stop);
+}
+
+#[test]
+fn shutdown_route_on_an_unspecified_bind_lets_wait_return() {
+    let config = ServerConfig { workers: 4, queue_depth: 64, log_requests: false };
+    let mut srv = TestServer::start_bound("roundtrip-any-shutdown", "0.0.0.0:0", config);
+    let (status, body) = srv.request_raw("POST", "/admin/shutdown", "");
+    assert_eq!(status, 200, "{body}");
+    returns_within_a_second(srv.handle.take().unwrap(), ServerHandle::wait);
+}
+
+#[test]
+fn full_queue_answers_503_while_the_only_worker_is_held() {
+    let config = ServerConfig { workers: 1, queue_depth: 1, log_requests: false };
+    let srv = TestServer::start_bound("roundtrip-queue-full", "127.0.0.1:0", config);
+    // Three peers that connect and stay silent: the worker blocks reading
+    // one, the queue holds at most one, so the acceptor turns one or two
+    // away inline — and a rejection is the only reply a silent peer gets.
+    let peers: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(&srv.addr).unwrap()).collect();
+    let (tx, rx) = mpsc::channel();
+    std::thread::scope(|scope| {
+        for mut peer in &peers {
+            let tx = tx.clone();
+            scope.spawn(move || {
+                let mut raw = Vec::new();
+                let _ = peer.read_to_end(&mut raw);
+                let _ = tx.send(raw);
+            });
+        }
+        let first = rx.recv_timeout(Duration::from_secs(10)).expect("no peer was turned away");
+        let (status, body) = parse_response(&first).expect("an HTTP response");
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("\"queue_full\""), "{body}");
+        let rejections = srv.state().metrics.queue_rejections.load(Ordering::Relaxed);
+        assert!((1..=2).contains(&rejections), "{rejections} rejections");
+        // Hang up: the worker reads EOF and the pool is free again.
+        for peer in &peers {
+            let _ = peer.shutdown(Shutdown::Both);
+        }
+    });
+    let (status, body) = srv.request("GET", "/health", "");
+    assert_eq!(status, 200, "{body}");
 }

@@ -6,7 +6,7 @@
 mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use webtable_catalog::{generate_world, WorldConfig};
 use webtable_search::wire::{encode_answers, encode_query};
@@ -58,12 +58,15 @@ fn concurrent_requests_see_old_or_new_generation_never_torn() {
     let pre_swap = srv.state().current.load();
 
     let swapped = Arc::new(AtomicBool::new(false));
+    // Each client reports its first response; the swap waits for all.
+    let (first_tx, first_rx) = mpsc::channel();
     let results: Vec<(u16, String, bool)> = std::thread::scope(|scope| {
         let mut clients = Vec::new();
         for _ in 0..4 {
             let addr = srv.addr.clone();
             let body = query_body.clone();
             let swapped = Arc::clone(&swapped);
+            let first_tx = first_tx.clone();
             clients.push(scope.spawn(move || {
                 // Keep the barrage running across the whole swap window:
                 // until the swap completes, then a few more to prove the
@@ -81,6 +84,9 @@ fn concurrent_requests_see_old_or_new_generation_never_torn() {
                     )
                     .expect("search during swap");
                     out.push((status, resp, after));
+                    if out.len() == 1 {
+                        let _ = first_tx.send(());
+                    }
                     if after {
                         post_swap += 1;
                     }
@@ -88,8 +94,11 @@ fn concurrent_requests_see_old_or_new_generation_never_torn() {
                 out
             }));
         }
-        // Fire the swap mid-barrage.
-        std::thread::sleep(std::time::Duration::from_millis(30));
+        // Fire the swap mid-barrage: every client has a response in hand.
+        drop(first_tx);
+        for _ in 0..4 {
+            first_rx.recv().expect("a client failed before its first response");
+        }
         let (status, body) = srv.request("POST", "/admin/swap", "");
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"generation\":2"), "{body}");
