@@ -160,18 +160,18 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes `resp` to the stream and flushes. Errors are swallowed — the
-/// peer hanging up mid-response is not a server failure.
+/// Writes `resp` to the stream in one write, so the peer wakes once for
+/// the whole response. Errors are swallowed — the peer hanging up
+/// mid-response is not a server failure.
 pub fn write_response(stream: &mut TcpStream, resp: &Response) {
-    let head = format!(
+    let mut raw = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         resp.status,
         reason(resp.status),
         resp.body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(resp.body.as_bytes());
-    let _ = stream.flush();
+    raw.push_str(&resp.body);
+    let _ = stream.write_all(raw.as_bytes());
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //!   Generation { Annotator, SearchEngine, cache } ──► SwapCell (Arc swap)
 //!        ▲                                               │ load() per request
 //!   /admin/swap (manifest re-read, rebuild off-path)     ▼
-//!                                      worker pool ◄── bounded accept queue
+//!                accept ──► worker pool ◄── bounded queue (while all busy)
 //! ```
 //!
 //! Request bodies and responses are the dependency-free wire formats of

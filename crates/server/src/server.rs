@@ -1,20 +1,22 @@
 //! The serving loop: bounded accept queue, fixed worker pool,
 //! structured request logs, clean shutdown.
 //!
-//! One acceptor thread blocks in `accept` and queues each connection
-//! with its accept instant, from which latency and deadlines run; up to
-//! `queue_depth` wait, and beyond that the acceptor answers 503
+//! Idle workers block in `accept` themselves, then parse, route and
+//! respond, so a request reaches a worker without a hand-off. While
+//! every worker is busy, one acceptor thread takes over `accept`: it
+//! queues up to `queue_depth` connections, each with its accept instant
+//! (latency and deadlines run from there), and beyond that answers 503
 //! `queue_full` inline — load sheds at the front door instead of
-//! queueing unboundedly. `workers` threads block on the queue, then
-//! parse, route, respond. Shutdown (`POST /admin/shutdown` or
-//! [`ServerHandle::stop`]) sets a flag and self-connects to wake the
-//! acceptor; workers drain the queue and every thread is joined.
+//! queueing unboundedly. A worker drains the queue before it turns idle.
+//! Shutdown (`POST /admin/shutdown` or [`ServerHandle::stop`]) sets a
+//! flag and self-connects to wake a blocked `accept`; each thread that
+//! wakes to the flag passes the wake-up on, and every thread is joined.
 
 use std::collections::VecDeque;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use webtable_core::wire::Json;
@@ -42,10 +44,25 @@ impl Default for ServerConfig {
     }
 }
 
+/// Connections the acceptor queued while every worker was busy, and
+/// the number of idle workers (each blocked in `accept` itself).
+#[derive(Debug, Default)]
+struct Pending {
+    conns: VecDeque<(TcpStream, Instant)>,
+    idle: usize,
+}
+
 #[derive(Debug, Default)]
 struct Queue {
-    conns: Mutex<VecDeque<(TcpStream, Instant)>>,
-    ready: Condvar,
+    pending: Mutex<Pending>,
+    /// Wakes the acceptor: the last idle worker turned busy, or one exited.
+    all_busy: Condvar,
+}
+
+impl Queue {
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        self.pending.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A running server; dropping the handle does *not* stop it — call
@@ -83,10 +100,15 @@ impl ServerHandle {
     }
 }
 
-/// Sets the shutdown flag and wakes the acceptor out of `accept` by
-/// connecting to `addr` (loopback when it is unspecified).
-fn request_shutdown(state: &AppState, mut addr: SocketAddr) {
+/// Sets the shutdown flag and wakes a thread out of `accept`.
+fn request_shutdown(state: &AppState, addr: SocketAddr) {
     state.shutdown.store(true, Ordering::Release);
+    wake_accept(addr);
+}
+
+/// Wakes one thread blocked in `accept` on `addr` with an empty
+/// connection, through loopback when `addr` is unspecified.
+fn wake_accept(mut addr: SocketAddr) {
     match &mut addr {
         SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
         SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
@@ -103,58 +125,96 @@ pub fn serve(
 ) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
+    let workers = config.workers.max(1);
     let queue = Arc::new(Queue::default());
-    let mut threads = Vec::with_capacity(config.workers + 1);
-    let (st, q, depth) = (Arc::clone(&state), Arc::clone(&queue), config.queue_depth.max(1));
-    threads.push(std::thread::spawn(move || accept_loop(listener, st, q, depth)));
-    for _ in 0..config.workers.max(1) {
-        let (st, q, log) = (Arc::clone(&state), Arc::clone(&queue), config.log_requests);
-        threads.push(std::thread::spawn(move || worker_loop(st, q, log)));
+    queue.lock().idle = workers;
+    let mut threads = Vec::with_capacity(workers + 1);
+    for _ in 0..workers {
+        let (l, st, q, log) =
+            (listener.try_clone()?, Arc::clone(&state), Arc::clone(&queue), config.log_requests);
+        threads.push(std::thread::spawn(move || worker_loop(&l, &st, &q, log)));
     }
+    let (st, q, depth) = (Arc::clone(&state), Arc::clone(&queue), config.queue_depth.max(1));
+    threads.push(std::thread::spawn(move || accept_loop(&listener, &st, &q, depth)));
     Ok(ServerHandle { addr: local, state, threads })
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<AppState>, queue: Arc<Queue>, depth: usize) {
+/// Accepts only while every worker is busy: queues up to `depth`
+/// connections for the workers and answers 503 `queue_full` beyond.
+fn accept_loop(listener: &TcpListener, state: &AppState, queue: &Queue, depth: usize) {
+    let shutting_down = || state.shutdown.load(Ordering::Acquire);
     loop {
-        let accepted = listener.accept().map(|(conn, _)| (conn, Instant::now()));
-        if state.shutdown.load(Ordering::Acquire) {
-            break;
+        drop(queue.all_busy.wait_while(queue.lock(), |p| p.idle > 0 && !shutting_down()));
+        if shutting_down() {
+            return;
         }
-        match accepted {
-            Ok((mut conn, ingress)) => {
-                let mut q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
-                if q.len() >= depth {
-                    drop(q);
-                    state.metrics.queue_rejections.fetch_add(1, Ordering::Relaxed);
-                    let full = err_response(503, "queue_full", "accept queue is full; retry");
-                    write_response(&mut conn, &full);
-                } else {
-                    q.push_back((conn, ingress));
-                    drop(q);
-                    queue.ready.notify_one();
-                }
-            }
+        let accepted = listener.accept().map(|(conn, _)| (conn, Instant::now()));
+        if shutting_down() {
+            let _ = listener.local_addr().map(wake_accept); // pass the wake-up on
+            return;
+        }
+        let Ok((mut conn, ingress)) = accepted else {
             // A real accept error (EMFILE, ...): back off, don't spin.
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        let mut pending = queue.lock();
+        if pending.conns.len() >= depth {
+            drop(pending);
+            state.metrics.queue_rejections.fetch_add(1, Ordering::Relaxed);
+            let full = err_response(503, "queue_full", "accept queue is full; retry");
+            write_response(&mut conn, &full);
+        } else {
+            let idle = pending.idle > 0;
+            pending.conns.push_back((conn, ingress));
+            drop(pending);
+            // A worker turned idle while this accept was pending; it waits
+            // in `accept`, so an empty connection sends it to the queue.
+            if idle {
+                let _ = listener.local_addr().map(wake_accept);
+            }
         }
     }
-    // Wake every worker to drain out; under the lock, so none is caught
-    // between its flag check and its wait.
-    let _q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
-    queue.ready.notify_all();
 }
 
-fn worker_loop(state: Arc<AppState>, queue: Arc<Queue>, log: bool) {
+/// Idle workers accept connections themselves, so a request reaches a
+/// worker without a hand-off; a busy worker drains the queue before it
+/// turns idle again.
+fn worker_loop(listener: &TcpListener, state: &AppState, queue: &Queue, log: bool) {
     loop {
-        let q = queue.conns.lock().unwrap_or_else(|e| e.into_inner());
-        let mut q = queue
-            .ready
-            .wait_while(q, |q| q.is_empty() && !state.shutdown.load(Ordering::Acquire))
-            .unwrap_or_else(|e| e.into_inner());
-        // Empty only once shutdown is requested and the queue is drained.
-        let Some((mut conn, ingress)) = q.pop_front() else { return };
-        drop(q);
-        serve_connection(&state, &mut conn, ingress, log);
+        let accepted = listener.accept();
+        let ingress = Instant::now();
+        let mut pending = queue.lock();
+        pending.idle -= 1;
+        let shutting_down = state.shutdown.load(Ordering::Acquire);
+        if pending.idle == 0 || shutting_down {
+            queue.all_busy.notify_one();
+        }
+        drop(pending);
+        if shutting_down {
+            let _ = listener.local_addr().map(wake_accept); // pass the wake-up on
+            return;
+        }
+        match accepted {
+            Ok((mut conn, _)) => serve_connection(state, &mut conn, ingress, log),
+            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+        }
+        drain(state, queue, log);
+    }
+}
+
+/// Serves queued connections until none is left, then counts the
+/// caller as idle under the same lock, so the acceptor never queues
+/// behind a worker that has already looked.
+fn drain(state: &AppState, queue: &Queue, log: bool) {
+    loop {
+        let mut pending = queue.lock();
+        let Some((mut conn, ingress)) = pending.conns.pop_front() else {
+            pending.idle += 1;
+            return;
+        };
+        drop(pending);
+        serve_connection(state, &mut conn, ingress, log);
     }
 }
 
@@ -248,12 +308,11 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         client.write_all(b"BOGUS\r\n\r\n").unwrap(); // a parse error: no handler runs
-        let queue = Arc::new(Queue::default());
-        queue.conns.lock().unwrap().push_back((listener.accept().unwrap().0, Instant::now()));
+        let queue = Queue::default();
+        queue.lock().conns.push_back((listener.accept().unwrap().0, Instant::now()));
         let wait = Duration::from_millis(40);
         std::thread::sleep(wait);
-        state.shutdown.store(true, Ordering::Release);
-        worker_loop(Arc::clone(&state), queue, false); // serves the queued request, then exits
+        drain(&state, &queue, false); // serves the queued request, then turns idle
         let stats = state.metrics.to_json(0, 0, 0, Default::default());
         let rows = stats.get("endpoints").and_then(Json::as_arr).unwrap();
         let other = rows.iter().find(|r| r.get("name").and_then(Json::as_str) == Some("other"));
