@@ -9,7 +9,7 @@ use std::io::Read;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use webtable_catalog::{generate_world, WorldConfig};
 use webtable_core::wire::{annotation_to_json, decode_response, Json, WireAnnotateRequest};
@@ -258,6 +258,10 @@ fn full_queue_answers_503_while_the_only_worker_is_held() {
             let _ = peer.shutdown(Shutdown::Both);
         }
     });
+    // The acceptor is still blocked in `accept` and wins this connection
+    // from the now idle worker; it must pass it on at once.
+    let started = Instant::now();
     let (status, body) = srv.request("GET", "/health", "");
     assert_eq!(status, 200, "{body}");
+    assert!(started.elapsed() < Duration::from_secs(5), "took {:?}", started.elapsed());
 }
