@@ -1,16 +1,8 @@
 //! # webtable-bench
 //!
-//! Shared fixtures for the Criterion micro-benchmarks. Each bench target
-//! measures one cost that the paper's evaluation rests on:
-//!
-//! | bench target | paper artifact it supports |
-//! |--------------|----------------------------|
-//! | `similarity` | §4.2.1 feature kernels (the 80%-of-runtime claim, Fig. 7) |
-//! | `candidates` | §4.3 candidate generation / lemma-index probes |
-//! | `bp`         | §4.4.2 message passing (the <1%-of-runtime claim, Fig. 7) |
-//! | `annotate`   | Fig. 7 end-to-end per-table cost, collective vs baselines |
-//! | `search`     | §5/Fig. 9 query latency: baseline vs typed processors |
-//! | `catalog`    | §4.2.3 catalog probes: `dist`, extents, relatedness |
+//! Shared fixtures for `perf_report`, the workspace's bench harness (its
+//! module docs list every tracked group), and the closed-loop [`load`]
+//! harness behind `load_driver` and the `serve/load` rows.
 
 pub mod load;
 
@@ -46,11 +38,10 @@ pub fn tables(n: usize, rows: usize, noise: NoiseConfig, seed: u64) -> Vec<Label
     g.gen_corpus(n, rows)
 }
 
-/// The duplicate-heavy corpus shared by the `batch/*` benchmarks and
-/// `perf_report`: a small base set of wide tables repeated several times,
+/// The duplicate-heavy corpus of the `batch/*` and `stream/*` benchmarks:
+/// a small base set of wide tables repeated several times,
 /// the common shape of real web-table crawls (the same entity strings recur
-/// across millions of tables). One definition so the criterion bench and
-/// the tracked `BENCH_candidates.json` always measure the same workload.
+/// across millions of tables).
 pub fn duplicate_heavy_corpus() -> Vec<webtable_tables::Table> {
     let base: Vec<webtable_tables::Table> =
         tables(4, 50, NoiseConfig::web(), 41).into_iter().map(|lt| lt.table).collect();
@@ -61,8 +52,8 @@ pub fn duplicate_heavy_corpus() -> Vec<webtable_tables::Table> {
     corpus
 }
 
-/// The corpus-scale batch profile shared by the `batch/*` benchmarks and
-/// `perf_report`: the fixture's catalog and index with a lean type budget,
+/// The corpus-scale batch profile of the `batch/*` and `stream/*`
+/// benchmarks: the fixture's catalog and index with a lean type budget,
 /// which keeps per-table model construction proportionate so the workload
 /// is candidate-bound — the regime the cross-table cache (and the paper's
 /// Fig. 7 80% claim) targets. Cached and uncached runs both use this

@@ -5,11 +5,9 @@
 //! ## One front door
 //!
 //! [`Annotator::run`](crate::session) executes an
-//! [`AnnotateRequest`](crate::AnnotateRequest) and is the only
-//! non-deprecated batch entry point;
-//! [`Annotator::annotate_stream`](crate::stream) is its bounded-memory
-//! streaming twin. The seven legacy `annotate*` methods below are
-//! `#[deprecated]` one-line wrappers over `run`, pinned bit-identical by
+//! [`AnnotateRequest`](crate::AnnotateRequest) and is the only batch
+//! entry point; [`Annotator::annotate_stream`](crate::stream) is its
+//! bounded-memory streaming twin, pinned byte-identical to `run` by
 //! `crates/core/tests/api_equivalence.rs`.
 //!
 //! ## Restart-free serving
@@ -36,8 +34,7 @@ use crate::candidates::{CandidateScratch, TableCandidates};
 use crate::config::AnnotatorConfig;
 use crate::error::Error;
 use crate::model::TableModel;
-use crate::result::{AnnotateStats, PhaseTimings, TableAnnotation};
-use crate::session::AnnotateRequest;
+use crate::result::{PhaseTimings, TableAnnotation};
 use crate::weights::Weights;
 
 /// A ready-to-use annotator: catalog + lemma index + weights + config.
@@ -257,30 +254,6 @@ impl Annotator {
     }
 
     /// Re-targets this annotator at an append-only grown catalog by
-    /// extending the lemma index incrementally (only new text is
-    /// tokenized; bit-identical to a from-scratch rebuild — see
-    /// [`LemmaIndex::extend`]). Weights and config carry over. Fails with
-    /// [`Error::Extend`] if `grown` is not an append-only superset of the
-    /// indexed catalog.
-    pub fn extend_to(&self, grown: Arc<Catalog>) -> Result<Annotator, Error> {
-        let index = if self.index.segment_count() == 1 {
-            // Monolithic in, monolithic out: bit-identical to a rebuild,
-            // digest included, so warmed caches stay valid.
-            let extended = self.index.segments()[0].extend(&grown)?;
-            Arc::new(SegmentedIndex::from_single(Arc::new(extended)))
-        } else {
-            // Already segmented: the delta becomes one more segment.
-            Arc::new(self.index.append(&grown, self.config.build_threads)?)
-        };
-        Ok(Annotator {
-            catalog: grown,
-            index,
-            weights: self.weights.clone(),
-            config: self.config.clone(),
-        })
-    }
-
-    /// Re-targets this annotator at an append-only grown catalog by
     /// building **one new segment** over the appended id range (existing
     /// segments are shared untouched — no rewrite of their snapshots).
     /// Probe results are bit-identical to a from-scratch rebuild of the
@@ -452,94 +425,6 @@ impl Annotator {
         // tripped after the last claim.
         Ok(out)
     }
-
-    // ------------------------------------------------------------------
-    // Deprecated entry points — one-line wrappers over `run`
-    // ------------------------------------------------------------------
-
-    /// Annotates one table collectively.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::one`")]
-    pub fn annotate(&self, table: &Table) -> TableAnnotation {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single().0
-    }
-
-    /// Annotates one table collectively, reporting phase timings.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::one`")]
-    pub fn annotate_timed(&self, table: &Table) -> (TableAnnotation, PhaseTimings) {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single()
-    }
-
-    /// `annotate_timed` with caller-owned scratch. The argument is ignored
-    /// (output is identical): the engine reuses scratch per worker *within*
-    /// a request, so the allocation-light migration for a loop of
-    /// single-table calls is to batch the tables into one request.
-    #[deprecated(
-        since = "0.2.0",
-        note = "batch the tables into one `AnnotateRequest` — scratch is reused across a request"
-    )]
-    pub fn annotate_timed_with_scratch(
-        &self,
-        table: &Table,
-        _scratch: &mut CandidateScratch,
-    ) -> (TableAnnotation, PhaseTimings) {
-        self.run(&AnnotateRequest::one(table).without_cache()).into_single()
-    }
-
-    /// Annotates one table and then enforces a uniqueness (primary-key)
-    /// constraint on the given columns via optimal assignment (§4.4.1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Annotator::run` with `AnnotateRequest::unique_columns`"
-    )]
-    pub fn annotate_with_unique_columns(
-        &self,
-        table: &Table,
-        unique_columns: &[usize],
-    ) -> TableAnnotation {
-        self.run(&AnnotateRequest::one(table).without_cache().unique_columns(unique_columns))
-            .into_single()
-            .0
-    }
-
-    /// Annotates a batch in parallel with `threads` workers; workers share
-    /// a fresh cross-table candidate cache sized by
-    /// `config.batch_cache_capacity`.
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run` with `AnnotateRequest::workers`")]
-    pub fn annotate_batch(
-        &self,
-        tables: &[Table],
-        threads: usize,
-    ) -> Vec<(TableAnnotation, PhaseTimings)> {
-        self.run(&AnnotateRequest::new(tables).workers(threads)).into_pairs()
-    }
-
-    /// `annotate_batch` that also reports aggregate [`AnnotateStats`].
-    #[deprecated(since = "0.2.0", note = "use `Annotator::run`; stats ride on `AnnotateResponse`")]
-    pub fn annotate_batch_stats(
-        &self,
-        tables: &[Table],
-        threads: usize,
-    ) -> (Vec<(TableAnnotation, PhaseTimings)>, AnnotateStats) {
-        let response = self.run(&AnnotateRequest::new(tables).workers(threads));
-        let stats = response.stats;
-        (response.into_pairs(), stats)
-    }
-
-    /// Batch annotation against a caller-owned candidate cache (reusable
-    /// across batches; counters accumulate on the cache). An incompatible
-    /// cache is bypassed, never corrupting output.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Annotator::run` with `AnnotateRequest::shared_cache`"
-    )]
-    pub fn annotate_batch_with_cache(
-        &self,
-        tables: &[Table],
-        threads: usize,
-        cache: &CellCandidateCache,
-    ) -> Vec<(TableAnnotation, PhaseTimings)> {
-        self.run(&AnnotateRequest::new(tables).workers(threads).shared_cache(cache)).into_pairs()
-    }
 }
 
 #[cfg(test)]
@@ -548,6 +433,7 @@ mod tests {
     use webtable_tables::{NoiseConfig, TableGenerator, TruthMask};
 
     use super::*;
+    use crate::session::AnnotateRequest;
 
     fn annotator() -> (webtable_catalog::World, Annotator) {
         let w = generate_world(&WorldConfig::tiny(5)).unwrap();

@@ -86,18 +86,9 @@ pub(crate) fn rank_bounded(
 /// column header; `E2`'s string is sought in the `T2` column by token
 /// overlap; the co-row `T1` cells are collected, clustered by normalized
 /// text, and ranked by (context-boosted) frequency.
-#[deprecated(since = "0.2.0", note = "use `SearchEngine::search` with `Query::Baseline`")]
-pub fn baseline_search(
-    catalog: &Catalog,
-    index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
-    q: &EntityQuery,
-) -> Vec<RankedAnswer> {
-    baseline_search_impl(catalog, index, corpus, q)
-}
-
-/// The Figure 3 processor body; shared by the deprecated free function and
-/// [`SearchEngine::search`](crate::SearchEngine::search).
+///
+/// The processor body behind [`SearchEngine::search`](crate::SearchEngine::search)
+/// for [`Query::Baseline`](crate::Query::Baseline).
 pub(crate) fn baseline_search_impl(
     catalog: &Catalog,
     index: &SearchIndex,
@@ -163,21 +154,11 @@ pub(crate) fn baseline_search_impl(
 /// tables qualify through column-type annotations alone (`T1`, `T2`
 /// columns in the same table); with `use_relations = true`, the pair must
 /// additionally be annotated with `R` in the correct orientation.
-#[deprecated(since = "0.2.0", note = "use `SearchEngine::search` with `Query::Typed`")]
-pub fn typed_search(
-    _catalog: &Catalog,
-    index: &SearchIndex,
-    corpus: &AnnotatedCorpus,
-    q: &EntityQuery,
-    use_relations: bool,
-) -> Vec<RankedAnswer> {
-    typed_search_impl(index, corpus, q, use_relations)
-}
-
-/// The Figure 4 processor body; shared by the deprecated free function,
-/// the join processor, and [`SearchEngine::search`](crate::SearchEngine::search).
-/// (The catalog is no longer needed here: the subtype expansion moved into
-/// `SearchIndex::build`.)
+///
+/// The processor body behind [`SearchEngine::search`](crate::SearchEngine::search)
+/// for [`Query::Typed`](crate::Query::Typed); the join processor runs it
+/// for both hops. (The catalog is not needed here: the subtype expansion
+/// lives in `SearchIndex::build`.)
 pub(crate) fn typed_search_impl(
     index: &SearchIndex,
     corpus: &AnnotatedCorpus,

@@ -28,6 +28,13 @@ use webtable_text::{tokenize, Vocab};
 use crate::corpus::AnnotatedCorpus;
 use crate::query::{rank_bounded, AnswerKey, RankedAnswer};
 
+/// The decided labels of an annotation map, in ascending key order.
+fn sorted_labels<K: Ord + Copy, V: Copy>(labels: &HashMap<K, Option<V>>) -> Vec<(K, V)> {
+    let mut out: Vec<(K, V)> = labels.iter().filter_map(|(&k, v)| Some((k, (*v)?))).collect();
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out
+}
+
 /// The table-level inverted index. Immutable after construction; rebuilt
 /// with its owning [`crate::SearchEngine`] on every generation load, so
 /// it participates in snapshot swaps and `grow` deltas for free.
@@ -75,20 +82,23 @@ impl TableIndex {
                     add(&mut vocab, cell);
                 }
             }
+            // Labels are visited in sorted key order: new tokens get their
+            // ids here, and a HashMap's order would make ids (and so norm
+            // summation order and tie order) depend on hasher state.
             let ann = &corpus.annotations[ti];
-            for ty in ann.column_types.values().flatten() {
+            for (_, ty) in sorted_labels(&ann.column_types) {
                 if ty.index() < catalog.num_types() {
-                    add(&mut vocab, catalog.type_name(*ty));
+                    add(&mut vocab, catalog.type_name(ty));
                 }
             }
-            for rel in ann.relations.values().flatten() {
+            for (_, rel) in sorted_labels(&ann.relations) {
                 if rel.index() < catalog.num_relations() {
-                    add(&mut vocab, catalog.relation_name(*rel));
+                    add(&mut vocab, catalog.relation_name(rel));
                 }
             }
-            for e in ann.cell_entities.values().flatten() {
+            for (_, e) in sorted_labels(&ann.cell_entities) {
                 if e.index() < catalog.num_entities() {
-                    add(&mut vocab, catalog.entity_name(*e));
+                    add(&mut vocab, catalog.entity_name(e));
                 }
             }
             let mut row: Vec<(u32, u32)> = tf.into_iter().collect();
@@ -289,5 +299,70 @@ mod tests {
         assert_eq!(a.len(), 1);
         assert!(idx.search("film", 0).is_empty());
         assert!(idx.search("zzz-unknown-token", 5).is_empty());
+    }
+
+    #[test]
+    fn label_order_does_not_depend_on_hash_state() {
+        use webtable_catalog::Cardinality;
+
+        // Every label token is new to the vocabulary (cells and headers say
+        // only "x"), and tf differs per label, so an interning order that
+        // followed HashMap iteration would permute both vocab and weights.
+        let mut b = CatalogBuilder::new();
+        let types: Vec<_> = (0..12).map(|i| b.add_type(format!("type{i}"), &[]).unwrap()).collect();
+        let entities: Vec<_> = (0..12)
+            .map(|i| b.add_entity(format!("entity{i}"), &[], &[types[i]]).unwrap())
+            .collect();
+        let relations: Vec<_> = (0..11)
+            .map(|i| {
+                b.add_relation(format!("rel{i}"), types[i], types[i + 1], Cardinality::ManyToMany)
+                    .unwrap()
+            })
+            .collect();
+        let cat = b.finish().unwrap();
+        let table = || {
+            Table::new(
+                TableId(1),
+                "x",
+                vec![Some("x".into()); 12],
+                (0..12).map(|_| vec!["x".to_string(); 12]).collect(),
+            )
+        };
+        // Entity c labels c + 1 cells: distinct term frequencies.
+        let cells: Vec<_> = entities
+            .iter()
+            .enumerate()
+            .flat_map(|(c, &e)| (0..=c).map(move |r| ((r, c), Some(e))))
+            .collect();
+        let cols: Vec<_> = types.iter().enumerate().map(|(c, &t)| (c, Some(t))).collect();
+        let pairs: Vec<_> =
+            relations.iter().enumerate().map(|(c, &rel)| ((c, c + 1), Some(rel))).collect();
+
+        // Equal annotations, inserted in opposite orders; every collected
+        // map draws its own `RandomState`, so the hashers differ too.
+        let forward = TableAnnotation {
+            cell_entities: cells.iter().copied().collect(),
+            column_types: cols.iter().copied().collect(),
+            relations: pairs.iter().copied().collect(),
+            ..TableAnnotation::default()
+        };
+        let reverse = TableAnnotation {
+            cell_entities: cells.iter().rev().copied().collect(),
+            column_types: cols.iter().rev().copied().collect(),
+            relations: pairs.iter().rev().copied().collect(),
+            ..TableAnnotation::default()
+        };
+        assert_eq!(forward, reverse);
+
+        let build = |ann: TableAnnotation| {
+            TableIndex::build(&AnnotatedCorpus::from_parts(vec![table()], vec![ann]), &cat)
+        };
+        let (a, b) = (build(forward), build(reverse));
+        assert_eq!(a.vocab.words().collect::<Vec<_>>(), b.vocab.words().collect::<Vec<_>>());
+        assert_eq!(a.offsets, b.offsets);
+        assert_eq!(a.tables, b.tables);
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.weights), bits(&b.weights));
+        assert_eq!(bits(&a.ub), bits(&b.ub));
     }
 }

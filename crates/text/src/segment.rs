@@ -4,8 +4,8 @@
 //!
 //! ## Why segments
 //!
-//! A monolithic index must be rebuilt (or [`LemmaIndex::extend`]ed and then
-//! re-persisted whole) every time the catalog grows. Segments make the delta
+//! A monolithic index must be rebuilt and re-persisted whole every time the
+//! catalog grows. Segments make the delta
 //! cheap: a catalog append *is* a new segment — built in the background over
 //! just the appended slice, written to its own snapshot file, and published
 //! by adding one line to the manifest. Old segment files are never rewritten.
@@ -29,8 +29,7 @@
 //!   the remapped token ids against the global IDF — bitwise equal to the
 //!   monolithic build's documents) and a dense global→local token map.
 //!
-//! This is [`LemmaIndex::extend`]'s replay machinery generalized to many
-//! bases: pure integer/float work over stored sequences, no string
+//! This replay is pure integer/float work over stored sequences: no string
 //! re-tokenization, and no segment file is ever touched.
 //!
 //! A probe then fans out over segments: per segment the query terms are
@@ -903,8 +902,8 @@ fn seg_owner_check(
 
 /// Replays every segment's stored token sequences in monolithic build order
 /// (entity lemmas across segments, then type lemmas), interning a union
-/// vocabulary and recounting IDF — the multi-base generalization of
-/// [`LemmaIndex::extend`]'s replay. Pure integer/float work.
+/// vocabulary and recounting IDF; [`SegmentedIndex::append`] relies on it to
+/// keep a grown index bit-identical to a rebuild. Pure integer/float work.
 fn derive_global(segments: &[Arc<LemmaIndex>]) -> GlobalState {
     let n = segments.len();
     let entity_counts: Vec<u32> = segments.iter().map(|s| s.entity_lemma_total()).collect();

@@ -3,20 +3,37 @@
 //! same digest, same probes), and at 2/4/8 segments the cross-segment
 //! top-k merge must reproduce the monolithic candidate lists bit for bit —
 //! across probe modes, with sequential and parallel fan-out, and after
-//! growing by [`SegmentedIndex::append`].
+//! growing by [`SegmentedIndex::append`], which must reject non-append
+//! changes with a typed [`ExtendError`].
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use webtable_catalog::{generate_world, Catalog, CatalogBuilder, EntityId, TypeId, WorldConfig};
 use webtable_text::{
-    LemmaIndex, ProbeMode, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
+    ExtendError, LemmaIndex, ProbeMode, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
 };
 
 /// Deterministic catalog family: `build_catalog(t, e)` is an exact
-/// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`
-/// (same construction as `extend_equivalence.rs`).
+/// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`.
+/// An explicit root type keeps the hierarchy single-rooted, so `finish`
+/// never appends a synthetic root that would shift type ids between the
+/// base and the grown catalog.
 fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
+    edited_catalog(n_types, n_entities, Edit::None)
+}
+
+/// A non-append change to one base entity of [`build_catalog`].
+#[derive(Clone, Copy, PartialEq)]
+enum Edit {
+    None,
+    /// Entity `j` gets a different name.
+    Reword(usize),
+    /// Entity `j` gets one more lemma.
+    AddLemma(usize),
+}
+
+fn edited_catalog(n_types: usize, n_entities: usize, edit: Edit) -> Catalog {
     let mut b = CatalogBuilder::new();
     let root = b.add_type("thing", &[]).unwrap();
     let mut types = vec![root];
@@ -26,12 +43,21 @@ fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
         types.push(t);
     }
     for j in 0..n_entities {
+        // Shared tokens ("entity", "alpha") across old and new lemmas
+        // stress the segment-local → global token remap; the per-entity
+        // suffix keeps names unique.
         let t = if types.len() > 1 { types[1 + j % (types.len() - 1)] } else { root };
-        let e = b
-            .add_entity(format!("entity alpha{j} item"), &[&format!("e{j}"), "alpha shared"], &[t])
-            .unwrap();
+        let name = if edit == Edit::Reword(j) {
+            "reworded entity name".to_string()
+        } else {
+            format!("entity alpha{j} item")
+        };
+        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[t]).unwrap();
         if j % 3 == 0 {
             b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+        }
+        if edit == Edit::AddLemma(j) {
+            b.add_entity_lemma(e, "a brand new alias");
         }
     }
     b.finish().unwrap()
@@ -169,35 +195,53 @@ fn append_matches_monolithic_rebuild() {
 }
 
 #[test]
+fn chained_appends_match_monolithic_rebuild() {
+    let c1 = build_catalog(2, 6);
+    let c2 = build_catalog(3, 14);
+    let c3 = build_catalog(5, 30);
+    let chained = SegmentedIndex::from_single(Arc::new(LemmaIndex::build(&c1)))
+        .append(&c2, 1)
+        .expect("first growth")
+        .append(&c3, 2)
+        .expect("second growth");
+    assert_eq!(chained.segment_count(), 3);
+    chained.verify_catalog(&c3).expect("chained segments cover the grown catalog");
+    assert_probe_equivalence(&LemmaIndex::build(&c3), &chained, &queries_for(&c3), "chained");
+}
+
+#[test]
 fn append_rejects_non_append_changes() {
     let base_cat = build_catalog(3, 24);
-    let shrunk = build_catalog(3, 10);
     let base = SegmentedIndex::build_split(&base_cat, 2, 1);
-    assert!(base.append(&shrunk, 1).is_err(), "shrunk catalog must be rejected");
-
-    // Same counts but a reworded base lemma: must be rejected, not merged.
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..3 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..24 {
-        let t = types[1 + j % 3];
-        let name = if j == 7 {
-            "reworded entity name".to_string()
-        } else {
-            format!("entity alpha{j} item")
-        };
-        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[t]).unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
-        }
-    }
-    let reworded = b.finish().unwrap();
-    assert!(base.append(&reworded, 1).is_err(), "reworded base lemma must be rejected");
+    let rejected = |grown: &Catalog| match base.append(grown, 1) {
+        Err(e) => e,
+        Ok(_) => panic!("a non-append change must be rejected"),
+    };
+    assert_eq!(
+        rejected(&build_catalog(3, 10)),
+        ExtendError::BaseShrunk { what: "entities", base: 24, grown: 10 }
+    );
+    // The explicit root type counts: 3 kinds + root vs 2 kinds + root.
+    assert_eq!(
+        rejected(&build_catalog(2, 24)),
+        ExtendError::BaseShrunk { what: "types", base: 4, grown: 3 }
+    );
+    // Same counts but a reworded base lemma: rejected, not merged.
+    assert!(matches!(
+        rejected(&edited_catalog(3, 24, Edit::Reword(7))),
+        ExtendError::BaseChanged { what: "entity", owner: 7, .. }
+    ));
+    // A base entity that gained a lemma is a changed owner, not growth.
+    assert!(matches!(
+        rejected(&edited_catalog(3, 30, Edit::AddLemma(2))),
+        ExtendError::BaseChanged { what: "entity", owner: 2, .. }
+    ));
+    // Failed appends leave the base index as it was.
+    assert_eq!(
+        base.content_digest(),
+        SegmentedIndex::build_split(&base_cat, 2, 1).content_digest()
+    );
+    base.verify_catalog(&base_cat).expect("base still covers its catalog");
 }
 
 #[test]
@@ -223,5 +267,25 @@ proptest! {
         let cat = build_catalog(n_types, n_entities);
         let queries = queries_for(&cat);
         assert_segmented_matches_monolithic(&cat, &queries);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn append_matches_rebuild_on_random_growth(
+        base_entities in 1usize..15,
+        added_entities in 0usize..15,
+        base_types in 0usize..3,
+        added_types in 0usize..3,
+        threads in 1usize..5,
+    ) {
+        let base_cat = build_catalog(base_types, base_entities);
+        let grown_cat = build_catalog(base_types + added_types, base_entities + added_entities);
+        let base = SegmentedIndex::from_single(Arc::new(LemmaIndex::build(&base_cat)));
+        let grown = base.append(&grown_cat, threads).expect("append-only growth");
+        let queries = queries_for(&grown_cat);
+        assert_probe_equivalence(&LemmaIndex::build(&grown_cat), &grown, &queries, "random growth");
     }
 }
