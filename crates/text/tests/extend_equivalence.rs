@@ -1,12 +1,15 @@
-//! Incremental-growth equivalence: `LemmaIndex::extend` over an
-//! append-only catalog change must be **bit-identical** to
-//! `LemmaIndex::build` on the grown catalog — same content digest, same
-//! CSR layout, same probe results — at every thread count, and must reject
-//! non-append changes with a typed [`ExtendError`].
+//! Incremental-growth equivalence: `SegmentedIndex::append` over an
+//! append-only catalog change must answer every probe exactly like
+//! `LemmaIndex::build` on the grown catalog — same query vectors, same
+//! candidate lists — at every thread count, and must reject non-append
+//! changes with a typed [`ExtendError`] without touching the base index.
 
-use proptest::prelude::*;
+use std::sync::Arc;
+
 use webtable_catalog::{Catalog, CatalogBuilder};
-use webtable_text::{ExtendError, IndexLayout, LemmaIndex, ProbeScratch, DEFAULT_RESCORING_FACTOR};
+use webtable_text::{
+    ExtendError, LemmaIndex, ProbeScratch, SegmentedIndex, DEFAULT_RESCORING_FACTOR,
+};
 
 /// Deterministic catalog family: `build_catalog(t, e)` is an exact
 /// id-prefix of `build_catalog(t', e')` whenever `t ≤ t'` and `e ≤ e'`.
@@ -14,6 +17,20 @@ use webtable_text::{ExtendError, IndexLayout, LemmaIndex, ProbeScratch, DEFAULT_
 /// never appends a synthetic root that would shift type ids between the
 /// base and the grown catalog.
 fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
+    edited_catalog(n_types, n_entities, Edit::None)
+}
+
+/// A non-append change to one base entity of [`build_catalog`].
+#[derive(Clone, Copy, PartialEq)]
+enum Edit {
+    None,
+    /// Entity `j` gets a different name.
+    Reword(usize),
+    /// Entity `j` gets one more lemma.
+    AddLemma(usize),
+}
+
+fn edited_catalog(n_types: usize, n_entities: usize, edit: Edit) -> Catalog {
     let mut b = CatalogBuilder::new();
     let root = b.add_type("thing", &[]).unwrap();
     let mut types = vec![root];
@@ -24,101 +41,96 @@ fn build_catalog(n_types: usize, n_entities: usize) -> Catalog {
     }
     for j in 0..n_entities {
         // Shared tokens ("entity", "alpha") across old and new lemmas
-        // stress the old-id → new-id remap; the per-entity suffix keeps
-        // names unique.
+        // stress the segment-local → global token remap; the per-entity
+        // suffix keeps names unique.
         let t = if types.len() > 1 { types[1 + j % (types.len() - 1)] } else { root };
-        let e = b
-            .add_entity(format!("entity alpha{j} item"), &[&format!("e{j}"), "alpha shared"], &[t])
-            .unwrap();
+        let name = if edit == Edit::Reword(j) {
+            "entity REWORDED item".to_string()
+        } else {
+            format!("entity alpha{j} item")
+        };
+        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[t]).unwrap();
         if j % 3 == 0 {
             b.add_entity_lemma(e, &format!("alpha alpha {j}"));
+        }
+        if edit == Edit::AddLemma(j) {
+            b.add_entity_lemma(e, "a brand new alias");
         }
     }
     b.finish().unwrap()
 }
 
-fn assert_layouts_bit_identical(got: &IndexLayout<'_>, want: &IndexLayout<'_>, ctx: &str) {
-    assert_eq!(got.entity_posting_offsets, want.entity_posting_offsets, "{ctx}: entity offsets");
-    assert_eq!(got.entity_posting_values, want.entity_posting_values, "{ctx}: entity postings");
-    assert_eq!(got.type_posting_offsets, want.type_posting_offsets, "{ctx}: type offsets");
-    assert_eq!(got.type_posting_values, want.type_posting_values, "{ctx}: type postings");
-    assert_eq!(got.entity_lemma_offsets, want.entity_lemma_offsets, "{ctx}: entity lemma offsets");
-    assert_eq!(got.entity_lemma_values, want.entity_lemma_values, "{ctx}: entity lemma values");
-    assert_eq!(got.type_lemma_offsets, want.type_lemma_offsets, "{ctx}: type lemma offsets");
-    assert_eq!(got.type_lemma_values, want.type_lemma_values, "{ctx}: type lemma values");
-    assert_eq!(got.lemma_token_offsets, want.lemma_token_offsets, "{ctx}: lemma token offsets");
-    assert_eq!(got.lemma_token_values, want.lemma_token_values, "{ctx}: lemma token values");
-    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(got.entity_token_ub), bits(want.entity_token_ub), "{ctx}: entity upper bounds");
-    assert_eq!(bits(got.type_token_ub), bits(want.type_token_ub), "{ctx}: type upper bounds");
+fn base_index(cat: &Catalog) -> SegmentedIndex {
+    SegmentedIndex::from_single(Arc::new(LemmaIndex::build(cat)))
 }
 
-fn assert_extend_matches_rebuild(base_cat: &Catalog, grown_cat: &Catalog, queries: &[&str]) {
-    let base = LemmaIndex::build(base_cat);
+fn assert_append_matches_rebuild(base_cat: &Catalog, grown_cat: &Catalog, queries: &[&str]) {
+    let base = base_index(base_cat);
     let rebuilt = LemmaIndex::build(grown_cat);
     for threads in [1usize, 2, 4] {
-        let extended = base.extend_with_threads(grown_cat, threads).expect("append-only growth");
-        assert_eq!(extended.num_lemmas(), rebuilt.num_lemmas(), "threads={threads}");
-        assert_eq!(extended.content_digest(), rebuilt.content_digest(), "threads={threads}");
-        assert_layouts_bit_identical(
-            &extended.layout(),
-            &rebuilt.layout(),
-            &format!("extend threads={threads}"),
-        );
-        let mut scratch = ProbeScratch::new();
+        let grown = base.append(grown_cat, threads).expect("append-only growth");
+        assert_eq!(grown.num_indexed_entities(), grown_cat.num_entities(), "threads={threads}");
+        assert_eq!(grown.num_indexed_types(), grown_cat.num_types(), "threads={threads}");
+        grown.verify_catalog(grown_cat).expect("segments cover the grown catalog");
+        let mut s1 = ProbeScratch::new();
+        let mut s2 = ProbeScratch::new();
         for text in queries {
-            let qe = extended.doc(text);
+            let qg = grown.doc(text);
             let qr = rebuilt.doc(text);
-            assert_eq!(qe.token_set, qr.token_set, "threads={threads} {text:?}");
-            assert_eq!(qe.vec.pairs(), qr.vec.pairs(), "threads={threads} {text:?}");
+            assert_eq!(qg.token_set, qr.token_set, "threads={threads} {text:?}");
+            assert_eq!(qg.vec.pairs(), qr.vec.pairs(), "threads={threads} {text:?}");
             assert_eq!(
-                extended.entity_candidates_with(&qe, 8, DEFAULT_RESCORING_FACTOR, &mut scratch),
-                rebuilt.entity_candidates_with(&qr, 8, DEFAULT_RESCORING_FACTOR, &mut scratch),
-                "threads={threads} {text:?}"
+                grown.entity_candidates_with(&qg, 8, DEFAULT_RESCORING_FACTOR, &mut s1),
+                rebuilt.entity_candidates_with(&qr, 8, DEFAULT_RESCORING_FACTOR, &mut s2),
+                "threads={threads} entities {text:?}"
+            );
+            assert_eq!(
+                grown.type_candidates_with(&qg, 8, DEFAULT_RESCORING_FACTOR, &mut s1),
+                rebuilt.type_candidates_with(&qr, 8, DEFAULT_RESCORING_FACTOR, &mut s2),
+                "threads={threads} types {text:?}"
             );
         }
     }
+}
+
+/// Appends `changed` onto an index of `base_cat`, expects a rejection,
+/// and checks the failed append left the base index as it was.
+fn rejected_append(base_cat: &Catalog, changed: &Catalog) -> ExtendError {
+    let base = base_index(base_cat);
+    let err = match base.append(changed, 1) {
+        Err(e) => e,
+        Ok(_) => panic!("a non-append change must be rejected"),
+    };
+    assert_eq!(base.content_digest(), LemmaIndex::build(base_cat).content_digest());
+    base.verify_catalog(base_cat).expect("base still covers its catalog");
+    err
 }
 
 #[test]
 fn extend_with_new_entities_matches_rebuild() {
     let base = build_catalog(3, 10);
     let grown = build_catalog(3, 25);
-    assert_extend_matches_rebuild(&base, &grown, &["entity alpha3", "e17", "alpha shared", "k2"]);
+    assert_append_matches_rebuild(&base, &grown, &["entity alpha3", "e17", "alpha shared", "k2"]);
 }
 
 #[test]
 fn extend_with_new_entities_and_types_matches_rebuild() {
     let base = build_catalog(2, 8);
     let grown = build_catalog(6, 20);
-    assert_extend_matches_rebuild(&base, &grown, &["entity alpha1 item", "k5", "alpha alpha 18"]);
+    assert_append_matches_rebuild(&base, &grown, &["entity alpha1 item", "k5", "alpha alpha 18"]);
 }
 
 #[test]
 fn extend_with_no_growth_matches_rebuild() {
     let cat = build_catalog(3, 10);
-    assert_extend_matches_rebuild(&cat, &cat, &["entity alpha3", "k1"]);
-}
-
-#[test]
-fn chained_extends_match_single_rebuild() {
-    let c1 = build_catalog(2, 6);
-    let c2 = build_catalog(3, 14);
-    let c3 = build_catalog(5, 30);
-    let chained =
-        LemmaIndex::build(&c1).extend(&c2).expect("first growth").extend(&c3).expect("second");
-    let rebuilt = LemmaIndex::build(&c3);
-    assert_eq!(chained.content_digest(), rebuilt.content_digest());
-    assert_layouts_bit_identical(&chained.layout(), &rebuilt.layout(), "chained");
+    assert_append_matches_rebuild(&cat, &cat, &["entity alpha3", "k1"]);
 }
 
 #[test]
 fn shrunk_catalog_is_rejected() {
     let base = build_catalog(3, 10);
-    let smaller = build_catalog(3, 4);
-    let idx = LemmaIndex::build(&base);
-    match idx.extend(&smaller) {
-        Err(ExtendError::BaseShrunk { what, base, grown }) => {
+    match rejected_append(&base, &build_catalog(3, 4)) {
+        ExtendError::BaseShrunk { what, base, grown } => {
             assert_eq!(what, "entities");
             assert!(grown < base, "{grown} < {base}");
         }
@@ -128,103 +140,22 @@ fn shrunk_catalog_is_rejected() {
 
 #[test]
 fn reworded_base_lemma_is_rejected() {
-    let base = build_catalog(2, 5);
-    let idx = LemmaIndex::build(&base);
     // Same counts, but entity 0's name differs: not an append-only change.
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..2 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..5usize {
-        let name = if j == 0 {
-            "entity REWORDED item".to_string()
-        } else {
-            format!("entity alpha{j} item")
-        };
-        let e = b.add_entity(name, &[&format!("e{j}"), "alpha shared"], &[types[1]]).unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
-        }
-    }
-    let changed = b.finish().unwrap();
-    match idx.extend(&changed) {
-        Err(ExtendError::BaseChanged { what, owner, .. }) => {
+    let base = build_catalog(2, 5);
+    match rejected_append(&base, &edited_catalog(2, 5, Edit::Reword(0))) {
+        ExtendError::BaseChanged { what, owner, .. } => {
             assert_eq!(what, "entity");
             assert_eq!(owner, 0);
         }
         other => panic!("expected BaseChanged, got {other:?}"),
     }
-    // The failed extend must not have touched the base index.
-    assert_eq!(idx.content_digest(), LemmaIndex::build(&base).content_digest());
 }
 
 #[test]
 fn added_lemma_on_base_entity_is_rejected() {
     let base = build_catalog(2, 5);
-    let idx = LemmaIndex::build(&base);
-    let mut b = CatalogBuilder::new();
-    let root = b.add_type("thing", &[]).unwrap();
-    let mut types = vec![root];
-    for i in 0..2 {
-        let t = b.add_type(format!("kind{i} category"), &[&format!("k{i}")]).unwrap();
-        b.add_subtype(t, root);
-        types.push(t);
-    }
-    for j in 0..5usize {
-        let e = b
-            .add_entity(
-                format!("entity alpha{j} item"),
-                &[&format!("e{j}"), "alpha shared"],
-                &[types[1]],
-            )
-            .unwrap();
-        if j % 3 == 0 {
-            b.add_entity_lemma(e, &format!("alpha alpha {j}"));
-        }
-        if j == 2 {
-            b.add_entity_lemma(e, "a brand new alias");
-        }
-    }
-    let changed = b.finish().unwrap();
-    assert!(matches!(idx.extend(&changed), Err(ExtendError::BaseChanged { owner: 2, .. })));
-}
-
-#[test]
-fn extend_then_snapshot_roundtrips() {
-    // The grown index is a first-class index: snapshot round-trip holds.
-    let base = build_catalog(2, 6);
-    let grown = build_catalog(3, 15);
-    let extended = LemmaIndex::build(&base).extend(&grown).expect("growth");
-    let bytes = extended.to_snapshot_bytes().expect("serialize");
-    let loaded = LemmaIndex::from_snapshot_bytes(&bytes).expect("deserialize");
-    assert_eq!(loaded.content_digest(), extended.content_digest());
-    assert_layouts_bit_identical(&loaded.layout(), &extended.layout(), "extend+snapshot");
-    // And a snapshot-loaded index can itself be extended.
-    let base_loaded = LemmaIndex::from_snapshot_bytes(
-        &LemmaIndex::build(&base).to_snapshot_bytes().expect("serialize base"),
-    )
-    .expect("load base");
-    let extended_from_loaded = base_loaded.extend(&grown).expect("extend a loaded index");
-    assert_eq!(extended_from_loaded.content_digest(), extended.content_digest());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn extend_matches_rebuild_on_random_growth(
-        base_entities in 1usize..15,
-        added_entities in 0usize..15,
-        base_types in 0usize..3,
-        added_types in 0usize..3,
-    ) {
-        let base = build_catalog(base_types, base_entities);
-        let grown = build_catalog(base_types + added_types, base_entities + added_entities);
-        let queries = ["entity alpha2 item", "alpha shared", "k1", "zzz"];
-        assert_extend_matches_rebuild(&base, &grown, &queries);
-    }
+    assert!(matches!(
+        rejected_append(&base, &edited_catalog(2, 5, Edit::AddLemma(2))),
+        ExtendError::BaseChanged { owner: 2, .. }
+    ));
 }
